@@ -8,8 +8,12 @@
 //                          --benchmark_out=BENCH_ml_hotpath.json
 //
 // The headline series tracked across PRs: BM_SingleInference,
-// BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1 (shared with
-// bench/inference_latency.cpp), plus the ML-layer BM_* kernels below.
+// BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1, plus the
+// ML-layer BM_* kernels below. This is the one bench for every series of
+// the online-inference path: the paper's "less than a second of model
+// inference overhead during the compilation time" (BM_CompileTuningTable)
+// and constant-time selection at application runtime
+// (BM_RuntimeTableLookup).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -19,6 +23,7 @@
 #include <new>
 
 #include "bench_util.hpp"
+#include "core/features.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
@@ -277,7 +282,7 @@ void BM_BatchCompileSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchCompileSweep);
 
-// ---- framework-level headline series (shared with inference_latency) -------
+// ---- framework-level headline series ---------------------------------------
 
 void BM_SingleInference(benchmark::State& state) {
   auto& fw = framework();
@@ -330,6 +335,41 @@ BENCHMARK(BM_TrainFramework)
     ->Arg(0)
     ->ArgName("threads")
     ->Unit(benchmark::kSecond);
+
+void BM_ForestPredictProba(benchmark::State& state) {
+  // The trained model's forest alone (flattened SoA walk), separating model
+  // time from the feature-extraction + ranking work BM_SingleInference
+  // also includes.
+  auto& fw = framework();
+  const auto& forest = fw.model(coll::Collective::kAlltoall);
+  const auto& columns = fw.selected_columns(coll::Collective::kAlltoall);
+  const auto& frontera = sim::cluster_by_name("Frontera");
+  const auto full = core::extract_features(frontera, 16, 56, 1u << 16);
+  const auto row = core::project_features(full, columns);
+  std::vector<double> proba(static_cast<std::size_t>(forest.num_classes()));
+  for (auto _ : state) {
+    forest.predict_proba_into(row, proba);
+    benchmark::DoNotOptimize(proba.data());
+  }
+}
+BENCHMARK(BM_ForestPredictProba);
+
+void BM_RuntimeTableLookup(benchmark::State& state) {
+  auto& fw = framework();
+  const auto& frontera = sim::cluster_by_name("Frontera");
+  const std::vector<int> nodes = {1, 2, 4, 8, 16};
+  const std::vector<int> ppns = {28, 56};
+  const auto sizes = sim::power_of_two_sizes(21);
+  const core::TuningTable table =
+      fw.compile_for(frontera, core::CompileOptions::sweep(nodes, ppns, sizes));
+  std::uint64_t msg = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.lookup(coll::Collective::kAllgather, 16, 56, msg));
+    msg = msg >= (1u << 20) ? 1 : msg << 1;
+  }
+}
+BENCHMARK(BM_RuntimeTableLookup);
 
 }  // namespace
 

@@ -341,8 +341,8 @@ void PmlFramework::select_batch(Collective collective,
   if (queries.empty()) return;
   const PerCollective& p = part(collective);
 
-  // The compile/serve hot path: one call per tuning-table cell (or serve
-  // micro-batch), from many threads. Same thread_local scratch discipline
+  // The compile hot path: one call per tuning-table cell, from many
+  // threads. Same thread_local scratch discipline
   // as select() — the matrices only ever grow, so steady-state batches
   // allocate nothing.
   thread_local std::vector<double> full;
@@ -447,28 +447,6 @@ TuningTable PmlFramework::compile_or_cached(const sim::ClusterSpec& cluster,
   }
   store_cached_table(path, table, options);
   return table;
-}
-
-TuningTable PmlFramework::compile_for(
-    const sim::ClusterSpec& cluster, std::span<const int> node_counts,
-    std::span<const int> ppn_values,
-    std::span<const std::uint64_t> msg_sizes) {
-  CompileOptions options;
-  options.node_counts.assign(node_counts.begin(), node_counts.end());
-  options.ppn_values.assign(ppn_values.begin(), ppn_values.end());
-  options.message_sizes.assign(msg_sizes.begin(), msg_sizes.end());
-  return compile_for(cluster, options);
-}
-
-const TuningTable& PmlFramework::compile_or_cached(
-    const sim::ClusterSpec& cluster, std::span<const int> node_counts,
-    std::span<const int> ppn_values, std::span<const std::uint64_t> msg_sizes,
-    TuningTable& cache) {
-  CompileOptions options;
-  options.node_counts.assign(node_counts.begin(), node_counts.end());
-  options.ppn_values.assign(ppn_values.begin(), ppn_values.end());
-  options.message_sizes.assign(msg_sizes.begin(), msg_sizes.end());
-  return compile_or_cached(cluster, options, cache);
 }
 
 const ml::RandomForest& PmlFramework::model(Collective collective) const {

@@ -130,7 +130,6 @@ void ServeOptions::validate() const {
   if (shard_capacity < 1) {
     throw ConfigError("serve: shard_capacity must be >= 1");
   }
-  if (micro_batch < 1) throw ConfigError("serve: micro_batch must be >= 1");
   if (max_line_bytes < 64) {
     throw ConfigError("serve: max_line_bytes must be >= 64");
   }
@@ -316,38 +315,53 @@ void ServeEngine::add_connection(int delta) {
   gauge.set(now);
 }
 
-void ServeEngine::note_evicted() {
-  evicted_.fetch_add(1);
-  static obs::Counter evicted("serve.evicted");
-  evicted.increment();
-}
+void ServeEngine::note_evicted() { note(Event::kEvicted); }
+void ServeEngine::note_overloaded() { note(Event::kOverloaded); }
+void ServeEngine::note_overlong() { note(Event::kOverlong); }
 
-void ServeEngine::note_overloaded() {
-  overloaded_.fetch_add(1);
-  static obs::Counter overloaded("serve.overloaded");
-  overloaded.increment();
-}
+struct ServeEngine::EventInfo {
+  const char* stats_key;  ///< stats-reply key, named after `field`
+  std::uint64_t Stats::*field;
+  const char* counter;  ///< obs counter mirrored on every occurrence
+  /// Also bump online.fallback.heuristic, the degradation counter the
+  /// batch online stage uses, so dashboards see one ladder.
+  bool ladder_fallback = false;
+};
 
-void ServeEngine::note_overlong() {
-  overlong_.fetch_add(1);
-  static obs::Counter overlong("serve.overlong_line");
-  overlong.increment();
+const ServeEngine::EventInfo ServeEngine::kEvents[kEventCount] = {
+    {"requests", &Stats::requests, "serve.requests"},
+    {"cache_hits", &Stats::cache_hits, "serve.cache.hit"},
+    {"cache_misses", &Stats::cache_misses, "serve.cache.miss"},
+    {"compiles", &Stats::compiles, "serve.compiles"},
+    {"degraded", &Stats::degraded, "serve.degraded", true},
+    {"errors", &Stats::errors, "serve.errors"},
+    {"shed", &Stats::shed, "serve.shed"},
+    {"deadline_expired", &Stats::deadline_expired, "serve.deadline.expired"},
+    {"compile_failures", &Stats::compile_failures, "serve.compile_failed"},
+    {"evicted", &Stats::evicted, "serve.evicted"},
+    {"overloaded", &Stats::overloaded, "serve.overloaded"},
+    {"overlong", &Stats::overlong, "serve.overlong_line"},
+    {"errors", &Stats::errors, "serve.rejected.draining"},
+};
+
+void ServeEngine::note(Event event) noexcept {
+  static std::vector<obs::Counter> counters = [] {
+    std::vector<obs::Counter> out;
+    for (const EventInfo& e : kEvents) out.emplace_back(e.counter);
+    return out;
+  }();
+  static obs::Counter ladder("online.fallback.heuristic");
+  const auto i = static_cast<std::size_t>(event);
+  counts_[i].fetch_add(1);
+  counters[i].increment();
+  if (kEvents[i].ladder_fallback) ladder.increment();
 }
 
 ServeEngine::Stats ServeEngine::stats() const {
   Stats s;
-  s.requests = requests_.load();
-  s.cache_hits = cache_hits_.load();
-  s.cache_misses = cache_misses_.load();
-  s.compiles = compiles_.load();
-  s.degraded = degraded_.load();
-  s.errors = errors_.load();
-  s.shed = shed_.load();
-  s.deadline_expired = deadline_expired_.load();
-  s.compile_failures = compile_failures_.load();
-  s.evicted = evicted_.load();
-  s.overloaded = overloaded_.load();
-  s.overlong = overlong_.load();
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    s.*kEvents[i].field += counts_[i].load();
+  }
   return s;
 }
 
@@ -387,9 +401,7 @@ ServeEngine::AdmitResult ServeEngine::admit_compile(
       return {it->second, Admission::kAdmitted};
     }
     if (in_flight_ >= options_.queue_limit) {
-      shed_.fetch_add(1);
-      static obs::Counter shed("serve.shed");
-      shed.increment();
+      note(Event::kShed);
       return {nullptr, Admission::kShed};
     }
     // Breaker checked after the queue-limit gate so a request that would
@@ -446,16 +458,12 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
       // swapped while this job sat in the queue, cache under the new
       // checksum so the next request (which recomputes the key) hits.
       cache_.put(cache_key(model_.checksum(), cluster, resolved), entry);
-      compiles_.fetch_add(1);
-      static obs::Counter compiled("serve.compiles");
-      compiled.increment();
+      note(Event::kCompile);
       result = std::move(entry);
     }
   } catch (const std::exception& err) {
     failed = true;
-    compile_failures_.fetch_add(1);
-    static obs::Counter failed_counter("serve.compile_failed");
-    failed_counter.increment();
+    note(Event::kCompileFailed);
     warn("serve: recompile failed (" + std::string(err.what()) +
          "); waiters fall back to heuristics");
   }
@@ -507,109 +515,10 @@ std::shared_ptr<const ServedTable> ServeEngine::wait_for(
     // Deadline lapsed: the compile keeps running (the next request will
     // hit its cached result); this reply degrades to the current rung.
     timed_out = true;
-    deadline_expired_.fetch_add(1);
-    static obs::Counter expired("serve.deadline.expired");
-    expired.increment();
+    note(Event::kDeadlineExpired);
     return nullptr;
   }
   return job.result;
-}
-
-// --- Select micro-batching ----------------------------------------------------
-//
-// Uncached selects answered by direct model inference are the one serve
-// path that still ran one forest sweep per request. Under concurrent
-// traffic those requests now coalesce: the first arrival becomes the
-// *leader* and drains the queue in groups of up to micro_batch compatible
-// requests — same model instance, same cluster hardware fingerprint
-// (the equivalence the cache key already relies on), same collective —
-// answering each group with one PmlFramework::select_batch call, i.e. one
-// tree-major blocked FlatForest sweep. Followers just block on their
-// stack-owned PendingSelect until the leader marks it done. Results and
-// errors are written under batch_mutex_, so the handoff is a plain
-// happens-before; the kernel itself is bit-identical to per-request
-// select(), so replies do not depend on who shared a batch with whom.
-
-void ServeEngine::drain_select_batches(std::unique_lock<std::mutex>& lock) {
-  static obs::Gauge batch_size("serve.batch.size");
-  thread_local std::vector<PendingSelect*> group;
-  thread_local std::vector<PmlFramework::SelectQuery> queries;
-  thread_local std::vector<coll::Selection> results;
-  while (!batch_queue_.empty()) {
-    // Peel the oldest request plus everything compatible with it, up to
-    // the micro_batch cap, preserving arrival order.
-    const PendingSelect* const head = batch_queue_.front();
-    const std::size_t cap = static_cast<std::size_t>(options_.micro_batch);
-    group.clear();
-    std::erase_if(batch_queue_, [&](PendingSelect* p) {
-      if (group.size() >= cap) return false;
-      if (p->framework != head->framework ||
-          p->fingerprint != head->fingerprint ||
-          p->collective != head->collective) {
-        return false;
-      }
-      group.push_back(p);
-      return true;
-    });
-
-    queries.resize(group.size());
-    results.resize(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      queries[i] = group[i]->query;
-    }
-    PmlFramework& framework = *group.front()->framework;
-    const sim::ClusterSpec& cluster = *group.front()->cluster;
-
-    lock.unlock();
-    batch_size.set(static_cast<std::int64_t>(group.size()));
-    std::exception_ptr error;
-    try {
-      framework.select_batch(head->collective, cluster, queries, results);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      group[i]->result = results[i];
-      group[i]->error = error;
-      group[i]->done = true;
-    }
-    batch_cv_.notify_all();
-  }
-}
-
-coll::Selection ServeEngine::batched_model_select(PmlFramework& framework,
-                                                  const sim::ClusterSpec& cluster,
-                                                  coll::Collective collective,
-                                                  sim::Topology topo,
-                                                  std::uint64_t msg_bytes) {
-  if (options_.micro_batch <= 1) {
-    return framework.select(collective, cluster, topo, msg_bytes);
-  }
-  PendingSelect pending;
-  pending.framework = &framework;
-  pending.cluster = &cluster;
-  pending.fingerprint = cluster.hardware_fingerprint();
-  pending.collective = collective;
-  pending.query = PmlFramework::SelectQuery{topo, msg_bytes};
-
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  batch_queue_.push_back(&pending);
-  while (!pending.done) {
-    if (!batch_leader_active_) {
-      // Become the leader; draining runs until the queue is empty, which
-      // necessarily answers our own request too.
-      batch_leader_active_ = true;
-      drain_select_batches(lock);
-      batch_leader_active_ = false;
-      batch_cv_.notify_all();
-    } else {
-      batch_cv_.wait(lock,
-                     [&] { return pending.done || !batch_leader_active_; });
-    }
-  }
-  if (pending.error != nullptr) std::rethrow_exception(pending.error);
-  return pending.result;
 }
 
 std::string ServeEngine::handle_select(const Json& request) {
@@ -659,13 +568,9 @@ std::string ServeEngine::handle_select(const Json& request) {
 
   std::shared_ptr<const ServedTable> entry = cache_.get(key);
   if (entry != nullptr) {
-    cache_hits_.fetch_add(1);
-    static obs::Counter hits("serve.cache.hit");
-    hits.increment();
+    note(Event::kCacheHit);
   } else {
-    cache_misses_.fetch_add(1);
-    static obs::Counter misses("serve.cache.miss");
-    misses.increment();
+    note(Event::kCacheMiss);
     materialize();
     const AdmitResult admitted = admit_compile(key, *cluster, *resolved);
     admission = admitted.admission;
@@ -677,56 +582,33 @@ std::string ServeEngine::handle_select(const Json& request) {
 
   if (entry != nullptr) {
     selection = entry->table.lookup(collective, nodes, ppn, msg_bytes);
-  } else if (admission != Admission::kAdmitted) {
-    // Shed (queue full) and breaker-open misses skip even direct model
-    // inference — the point of both is to spend nothing extra on this
-    // request. The reply is still a valid selection, one rung down.
-    cache_state = "miss";
-    source = admission == Admission::kShed ? "shed" : "heuristic";
-    degraded = true;
-    degraded_.fetch_add(1);
-    static obs::Counter fallback("online.fallback.heuristic");
-    fallback.increment();
-    static obs::Counter served_degraded("serve.degraded");
-    served_degraded.increment();
-    selection = HeuristicSelector().select(collective, *cluster,
-                                           sim::Topology{nodes, ppn},
-                                           msg_bytes);
-  } else if (const std::shared_ptr<PmlFramework> framework =
-                 model_.framework()) {
-    // Miss, not waiting, model healthy: answer by direct inference while
-    // the table compiles in the background. Same model, same quality —
-    // not a degraded reply.
-    cache_state = "miss";
-    source = "model";
-    materialize();
-    selection = batched_model_select(*framework, *cluster, collective,
-                                     sim::Topology{nodes, ppn}, msg_bytes);
   } else {
-    // Bottom rung: no table, no model. Same counter the batch online
-    // stage uses, so dashboards see one ladder.
     cache_state = "miss";
-    source = "heuristic";
-    degraded = true;
-    degraded_.fetch_add(1);
-    static obs::Counter fallback("online.fallback.heuristic");
-    fallback.increment();
-    static obs::Counter served_degraded("serve.degraded");
-    served_degraded.increment();
-    materialize();
-    selection = HeuristicSelector().select(collective, *cluster,
-                                           sim::Topology{nodes, ppn},
-                                           msg_bytes);
+    const sim::Topology topo{nodes, ppn};
+    std::shared_ptr<PmlFramework> framework;
+    if (admission == Admission::kAdmitted) framework = model_.framework();
+    if (framework != nullptr) {
+      // Miss, not waiting, model healthy: answer by direct inference while
+      // the table compiles in the background. Same model, same quality —
+      // not a degraded reply.
+      source = "model";
+      selection = framework->select(collective, *cluster, topo, msg_bytes);
+    } else {
+      // No model, or a shed (queue full) / breaker-open miss: the point of
+      // both admission rejections is to spend nothing extra on this
+      // request, so they skip even direct model inference. The reply is
+      // still a valid selection, one rung down.
+      source = admission == Admission::kShed ? "shed" : "heuristic";
+      degraded = true;
+      note(Event::kDegraded);
+      selection = HeuristicSelector().select(collective, *cluster, topo,
+                                             msg_bytes);
+    }
   }
 
   Json reply = Json::object();
   reply["ok"] = true;
   reply["op"] = std::string("select");
-  // Protocol v2: the structured selection rides alongside the legacy
-  // `algorithm` field (which flattens a hierarchical choice to its inter
-  // algorithm) so v1 clients keep parsing replies for one release.
-  reply["algorithm"] = coll::to_string(selection.algorithm);
-  reply["display_name"] = selection.display();
   Json sel = Json::object();
   sel["kind"] = coll::to_string(selection.kind);
   sel["algorithm"] = coll::to_string(selection.algorithm);
@@ -755,13 +637,9 @@ std::string ServeEngine::handle_table(const Json& request) {
   Admission admission = Admission::kAdmitted;
   std::shared_ptr<const ServedTable> entry = cache_.get(key);
   if (entry != nullptr) {
-    cache_hits_.fetch_add(1);
-    static obs::Counter hits("serve.cache.hit");
-    hits.increment();
+    note(Event::kCacheHit);
   } else {
-    cache_misses_.fetch_add(1);
-    static obs::Counter misses("serve.cache.miss");
-    misses.increment();
+    note(Event::kCacheMiss);
     const AdmitResult admitted = admit_compile(key, cluster, resolved);
     admission = admitted.admission;
     if (admitted.job != nullptr && truthy_flag(request, "wait")) {
@@ -785,11 +663,7 @@ std::string ServeEngine::handle_table(const Json& request) {
   // this, and the ladder contract is that heuristic output is transient).
   // Shed misses carry source:"shed" so clients can tell overload apart
   // from an absent model.
-  degraded_.fetch_add(1);
-  static obs::Counter fallback("online.fallback.heuristic");
-  fallback.increment();
-  static obs::Counter served_degraded("serve.degraded");
-  served_degraded.increment();
+  note(Event::kDegraded);
   const TuningTable table = heuristic_table(cluster, resolved);
   std::string reply = "{\"ok\":true,\"op\":\"table\",\"cache\":\"miss\","
                       "\"source\":\"";
@@ -809,18 +683,10 @@ std::string ServeEngine::handle_stats() {
   reply["ok"] = true;
   reply["op"] = std::string("stats");
   reply["version"] = std::string(kPmlVersion);
-  reply["requests"] = static_cast<std::int64_t>(s.requests);
-  reply["cache_hits"] = static_cast<std::int64_t>(s.cache_hits);
-  reply["cache_misses"] = static_cast<std::int64_t>(s.cache_misses);
-  reply["compiles"] = static_cast<std::int64_t>(s.compiles);
-  reply["degraded"] = static_cast<std::int64_t>(s.degraded);
-  reply["errors"] = static_cast<std::int64_t>(s.errors);
-  reply["shed"] = static_cast<std::int64_t>(s.shed);
-  reply["deadline_expired"] = static_cast<std::int64_t>(s.deadline_expired);
-  reply["compile_failures"] = static_cast<std::int64_t>(s.compile_failures);
-  reply["evicted"] = static_cast<std::int64_t>(s.evicted);
-  reply["overloaded"] = static_cast<std::int64_t>(s.overloaded);
-  reply["overlong"] = static_cast<std::int64_t>(s.overlong);
+  // Table order; a key shared by two events is rewritten in place.
+  for (const EventInfo& e : kEvents) {
+    reply[e.stats_key] = static_cast<std::int64_t>(s.*e.field);
+  }
   reply["queue_depth"] = queue_depth();
   reply["connections"] = connections();
   reply["breaker"] = std::string(to_string(breaker_state()));
@@ -859,9 +725,7 @@ std::string ServeEngine::handle_health() {
 }
 
 std::string ServeEngine::handle_line(const std::string& line) {
-  static obs::Counter requests("serve.requests");
-  requests.increment();
-  requests_.fetch_add(1);
+  note(Event::kRequest);
   obs::Span span("serve.request");
   const std::uint64_t start_ns = obs::now_ns();
   std::string reply;
@@ -872,9 +736,7 @@ std::string ServeEngine::handle_line(const std::string& line) {
       if (draining()) {
         // Reject new work with an identifiable error; ping/stats/health
         // below keep answering so ops can watch the drain complete.
-        errors_.fetch_add(1);
-        static obs::Counter rejected("serve.rejected.draining");
-        rejected.increment();
+        note(Event::kRejectedDraining);
         Json j = Json::object();
         j["ok"] = false;
         j["error"] = std::string("serve: draining; not accepting new work");
@@ -902,14 +764,10 @@ std::string ServeEngine::handle_line(const std::string& line) {
       throw ConfigError("serve: unknown op \"" + op + "\"");
     }
   } catch (const Error& err) {
-    errors_.fetch_add(1);
-    static obs::Counter errors("serve.errors");
-    errors.increment();
+    note(Event::kError);
     reply = error_reply(err.what(), err.code());
   } catch (const std::exception& err) {
-    errors_.fetch_add(1);
-    static obs::Counter errors("serve.errors");
-    errors.increment();
+    note(Event::kError);
     reply = error_reply(err.what(), ErrorCode::kUnknown);
   }
   latency_.record(obs::now_ns() - start_ns);

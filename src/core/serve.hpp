@@ -35,6 +35,7 @@
 // every rejection is a structured one-line error, never a silent drop.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -76,14 +77,6 @@ struct ServeOptions {
   /// When false, cache misses compile synchronously on the request
   /// thread (deterministic tests); the reply still reports its rung.
   bool async_compile = true;
-  /// Upper bound on the select micro-batch (>= 1). Concurrent uncached
-  /// "select" requests answered by direct model inference coalesce — per
-  /// (model instance, cluster hardware fingerprint, collective) — into
-  /// one batched FlatForest sweep, amortizing node-array traffic across
-  /// requests exactly like a tuning-table cell compile. 1 disables
-  /// coalescing. Replies are unchanged either way: the batched kernel is
-  /// bit-identical to per-request select().
-  int micro_batch = 16;
 
   // --- Transport limits (TcpServer) ---
 
@@ -274,6 +267,32 @@ class ServeEngine {
   void drain();
 
  private:
+  /// Every counted serve event. Each one bumps a Stats field (the
+  /// engine's own tally, so `stats` works with obs disabled) and mirrors
+  /// into one obs counter; kEvents (serve.cpp) is the single table of
+  /// both, in Stats field order.
+  enum class Event {
+    kRequest,
+    kCacheHit,
+    kCacheMiss,
+    kCompile,
+    kDegraded,
+    kError,
+    kShed,
+    kDeadlineExpired,
+    kCompileFailed,
+    kEvicted,
+    kOverloaded,
+    kOverlong,
+    kRejectedDraining,  ///< counts as an error; own obs counter
+  };
+  static constexpr std::size_t kEventCount =
+      static_cast<std::size_t>(Event::kRejectedDraining) + 1;
+  struct EventInfo;
+  static const EventInfo kEvents[kEventCount];
+
+  void note(Event event) noexcept;
+
   struct CompileJob {
     std::mutex mutex;
     std::condition_variable cv;
@@ -285,34 +304,6 @@ class ServeEngine {
   std::string handle_table(const Json& request);
   std::string handle_stats();
   std::string handle_health();
-
-  /// One uncached select waiting for a model micro-batch. Stack-owned by
-  /// its blocked request thread (so the cluster pointer stays valid);
-  /// every field after `query` is written by the draining leader under
-  /// batch_mutex_.
-  struct PendingSelect {
-    PmlFramework* framework = nullptr;
-    const sim::ClusterSpec* cluster = nullptr;
-    std::uint64_t fingerprint = 0;
-    coll::Collective collective{};
-    PmlFramework::SelectQuery query;
-    coll::Selection result = coll::Selection::flat(coll::Algorithm::kAgRing);
-    std::exception_ptr error;
-    bool done = false;
-  };
-
-  /// Leader/follower micro-batching around PmlFramework::select_batch
-  /// (serve.cpp comment). Returns what framework->select(...) would, or
-  /// rethrows its error.
-  coll::Selection batched_model_select(PmlFramework& framework,
-                                       const sim::ClusterSpec& cluster,
-                                       coll::Collective collective,
-                                       sim::Topology topo,
-                                       std::uint64_t msg_bytes);
-
-  /// Drain batch_queue_ until empty, one compatible group at a time.
-  /// Pre: `lock` holds batch_mutex_ and this thread is the leader.
-  void drain_select_batches(std::unique_lock<std::mutex>& lock);
 
   /// How admit_compile disposed of a cache miss.
   enum class Admission {
@@ -386,28 +377,12 @@ class ServeEngine {
   std::unordered_map<std::string, std::shared_ptr<CompileJob>> jobs_;
   int in_flight_ = 0;
 
-  /// Select micro-batcher state (batched_model_select).
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::vector<PendingSelect*> batch_queue_;
-  bool batch_leader_active_ = false;
-
   CircuitBreaker breaker_;
   std::atomic<bool> draining_{false};
   std::atomic<int> connections_{0};
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> compiles_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> compile_failures_{0};
-  std::atomic<std::uint64_t> evicted_{0};
-  std::atomic<std::uint64_t> overloaded_{0};
-  std::atomic<std::uint64_t> overlong_{0};
+  /// Engine-owned event tallies, indexed by Event (see note()).
+  std::array<std::atomic<std::uint64_t>, kEventCount> counts_{};
 };
 
 /// One structured {"ok":false,...} error line (no trailing newline) in

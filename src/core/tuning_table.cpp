@@ -223,12 +223,9 @@ Json TuningTable::to_json() const {
 }
 
 TuningTable TuningTable::from_json(const Json& j) {
-  // v2 is current; v1 (flat algorithm names) stays decodable one release.
-  if (!j.contains("format")) throw TuningError("not a pml-mpi tuning table");
-  const std::string format = j.at("format").as_string();
-  if (format != "pml-mpi-tuning-table-v2" &&
-      format != "pml-mpi-tuning-table-v1") {
-    throw TuningError("not a pml-mpi tuning table");
+  if (!j.contains("format") ||
+      j.at("format").as_string() != "pml-mpi-tuning-table-v2") {
+    throw TuningError("not a pml-mpi-tuning-table-v2 document");
   }
   TuningTable table(j.at("cluster").as_string());
   if (j.contains("cluster_fingerprint")) {  // absent in pre-fingerprint tables
@@ -255,12 +252,8 @@ TuningTable TuningTable::from_json(const Json& j) {
     for (const Json& ej : jj.at("entries").as_array()) {
       TuningEntry e;
       e.max_bytes = static_cast<std::uint64_t>(ej.at("max_bytes").as_int());
-      // v2 stores an encoded selection; v1 a bare algorithm name — both are
-      // valid Selection encodings in the collective's context.
-      const std::string& key = ej.contains("selection") ? "selection"
-                                                        : "algorithm";
-      e.selection =
-          coll::Selection::decode(job.collective, ej.at(key).as_string());
+      e.selection = coll::Selection::decode(
+          job.collective, ej.at("selection").as_string());
       job.entries.push_back(e);
     }
     table.add(std::move(job));

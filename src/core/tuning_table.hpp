@@ -19,9 +19,8 @@
 namespace pml::core {
 
 /// One size range: applies to message sizes <= max_bytes (entries are
-/// ordered; the last entry of a job table is open-ended). Since table
-/// schema v2 the entry stores a structured coll::Selection; v1 artifacts
-/// (bare algorithm names) decode into flat selections.
+/// ordered; the last entry of a job table is open-ended). The entry
+/// stores a structured coll::Selection (table schema v2).
 struct TuningEntry {
   std::uint64_t max_bytes = 0;
   coll::Selection selection = coll::Selection::flat(coll::Algorithm::kAgRing);
@@ -64,14 +63,6 @@ class TuningTable {
   /// cache shards. Throws TuningError if the collective has no entries.
   coll::Selection lookup(coll::Collective collective, int nodes, int ppn,
                          std::uint64_t msg_bytes) const;
-
-  /// Transitional raw-label lookup; flattens a hierarchical entry to its
-  /// inter algorithm. Removed after one release.
-  [[deprecated("call lookup() and use the structured coll::Selection")]]
-  coll::Algorithm lookup_algorithm(coll::Collective collective, int nodes,
-                                   int ppn, std::uint64_t msg_bytes) const {
-    return lookup(collective, nodes, ppn, msg_bytes).algorithm;
-  }
 
   /// Build a table by querying a selector over a sweep (used both for the
   /// ML path and for baking baseline heuristics into table form).

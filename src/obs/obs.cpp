@@ -35,10 +35,7 @@ struct GaugeCell {
 struct ThreadState;
 
 /// Process-wide registry: name interning plus the set of live per-thread
-/// buffers and the folded-in data of exited threads. Function-local
-/// static, constructed before any ThreadState (whose constructor calls
-/// registry()), hence destroyed after every ThreadState on the main
-/// thread's exit path.
+/// buffers and the folded-in data of exited threads.
 struct Registry {
   std::mutex mutex;
   std::deque<std::string> name_store;  // stable addresses for id -> name
@@ -52,8 +49,12 @@ struct Registry {
   std::vector<SpanSample> retired_spans;
 };
 
+/// Immortal (intentionally leaked): threads owned by other statics, such
+/// as the ThreadPool::shared() workers, exit during static destruction
+/// and fold their ThreadState in here, possibly after a registry built
+/// later than their pool would have been destroyed.
 Registry& registry() {
-  static Registry r;
+  static Registry& r = *new Registry;
   return r;
 }
 

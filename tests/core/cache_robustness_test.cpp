@@ -154,6 +154,26 @@ TEST_F(CacheRobustnessTest, PoisonedLegacyCacheIsNotServed) {
             ArtifactStatus::kOk);
 }
 
+TEST_F(CacheRobustnessTest, EnvelopedV1TableIsRecompiledAndRewritten) {
+  // A checksum-valid envelope around a v1 table: the envelope is sound,
+  // but nothing decodes v1 any more. That is a reason to recompile and
+  // rewrite the cache entry, never a fatal error.
+  const CompileOptions options = options_in(dir_);
+  const TuningTable clean = trained().compile_for(target(), options);
+  Json v1 = clean.to_json();
+  v1["format"] = std::string("pml-mpi-tuning-table-v1");
+  write_artifact(cache_file().string(), v1, "tuning-table");
+  ASSERT_EQ(inspect_artifact(cache_file().string()).status,
+            ArtifactStatus::kOk);
+
+  const TuningTable served = trained().compile_or_cached(target(), options);
+  EXPECT_EQ(served.to_json().dump(), clean.to_json().dump());
+  EXPECT_GE(counter_value("online.fallback.cache_corrupt"), 1u);
+  const Json rewritten = artifact_payload(
+      Json::parse(read_file(cache_file().string())), "tuning-table");
+  EXPECT_EQ(rewritten.at("format").as_string(), "pml-mpi-tuning-table-v2");
+}
+
 TEST_F(CacheRobustnessTest, UnreadableCacheRetriesThenRecompiles) {
   CompileOptions options = options_in(dir_);
   std::vector<double> sleeps;

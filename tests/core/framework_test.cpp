@@ -75,8 +75,8 @@ TEST(Framework, SelectManyAndSelectBatchMatchScalarSelect) {
     }
   }
 
-  // select_batch: mixed topologies in one micro-batch (the serve
-  // coalescer's shape) must also match query-by-query inference.
+  // select_batch: mixed topologies in one batch must also match
+  // query-by-query inference.
   std::vector<PmlFramework::SelectQuery> queries;
   for (const int nodes : {2, 3, 4}) {
     for (const int ppn : {7, 16}) {

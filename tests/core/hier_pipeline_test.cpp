@@ -126,19 +126,14 @@ TEST(DatasetV2, RoundTripsHierarchicalRecords) {
   }
 }
 
-TEST(DatasetV2, StillDecodesV1Documents) {
-  // A v1 document (flat label space, no `selections` array) must decode
-  // into the flat prefix for one more release.
+TEST(DatasetV2, RejectsV1Documents) {
+  // The v1 decoder is gone: a v1 document, even one whose rows would
+  // otherwise parse, is a TuningError rather than a silent reinterpretation.
   const auto flat = build_cluster_records(
       frontera(), coll::Collective::kAllgather, BuildOptions{});
   Json j = records_to_json(flat, coll::Collective::kAllgather);
-  j["format"] = "pml-dataset-v1";  // v1 readers ignore extra keys
-  const auto decoded = records_from_json(j);
-  ASSERT_EQ(decoded.size(), flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(decoded[i].times, flat[i].times);
-    EXPECT_EQ(decoded[i].label, flat[i].label);
-  }
+  j["format"] = "pml-dataset-v1";
+  EXPECT_THROW(records_from_json(j), TuningError);
 }
 
 TEST(DatasetV2, RejectsLabelSpaceMismatch) {
@@ -181,10 +176,11 @@ TEST(TableV2, RoundTripsHierarchicalEntries) {
   EXPECT_EQ(back.to_json().dump(), j.dump());
 }
 
-TEST(TableV2, DecodesV1AlgorithmEntries) {
-  // v1 artifacts store a bare algorithm name under "algorithm"; they load
-  // as flat selections for one more release.
-  const Json j = Json::parse(R"({
+TEST(TableV2, RejectsV1AlgorithmEntries) {
+  // v1 artifacts stored a bare algorithm name under "algorithm". The v1
+  // decoder is gone: the document is rejected, and so is a v2-labelled
+  // entry that still uses the v1 "algorithm" key.
+  Json j = Json::parse(R"({
     "format": "pml-mpi-tuning-table-v1",
     "cluster": "Frontera",
     "jobs": [{
@@ -192,10 +188,9 @@ TEST(TableV2, DecodesV1AlgorithmEntries) {
       "entries": [{"max_bytes": 1048576, "algorithm": "ring"}]
     }]
   })");
-  const TuningTable table = TuningTable::from_json(j);
-  const coll::Selection s =
-      table.lookup(coll::Collective::kAllgather, 2, 16, 4096);
-  EXPECT_EQ(s, coll::Selection::flat(coll::Algorithm::kAgRing));
+  EXPECT_THROW(TuningTable::from_json(j), TuningError);
+  j["format"] = "pml-mpi-tuning-table-v2";
+  EXPECT_THROW(TuningTable::from_json(j), Error);
 }
 
 // --- Partial degradation ladder ---------------------------------------------
@@ -289,9 +284,11 @@ TEST(ServeV2, SelectReplyCarriesStructuredSelection) {
       R"("nodes":4,"ppn":32,"msg_bytes":1048576})"));
   ASSERT_TRUE(reply.at("ok").as_bool());
 
-  // v2: a structured `selection` object rides alongside the legacy
-  // `algorithm` string, and the two must agree.
+  // The structured `selection` object is the whole answer: the v1-era
+  // top-level `algorithm` / `display_name` fields are gone.
   ASSERT_TRUE(reply.contains("selection"));
+  EXPECT_FALSE(reply.contains("algorithm"));
+  EXPECT_FALSE(reply.contains("display_name"));
   const Json& sel = reply.at("selection");
   const coll::Selection decoded = coll::Selection::decode(
       coll::Collective::kAllgather, sel.at("encoded").as_string());
@@ -300,9 +297,6 @@ TEST(ServeV2, SelectReplyCarriesStructuredSelection) {
   EXPECT_EQ(sel.at("algorithm").as_string(),
             coll::to_string(decoded.algorithm));
   EXPECT_EQ(sel.at("intra").as_string(), coll::to_string(decoded.intra));
-  EXPECT_EQ(reply.at("algorithm").as_string(),
-            coll::to_string(decoded.algorithm));
-  EXPECT_EQ(reply.at("display_name").as_string(), decoded.display());
   EXPECT_TRUE(coll::selection_supports(decoded, sim::Topology{4, 32}));
 }
 

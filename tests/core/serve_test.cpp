@@ -73,9 +73,6 @@ TEST(ServeOptions, ValidateRejectsBadShapes) {
   options.shards = 1;
   options.shard_capacity = 0;
   EXPECT_THROW(options.validate(), ConfigError);
-  options.shard_capacity = 1;
-  options.micro_batch = 0;
-  EXPECT_THROW(options.validate(), ConfigError);
 }
 
 TEST(ServeOptions, ValidateRejectsBadLimits) {
@@ -173,9 +170,9 @@ TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
   EXPECT_EQ(second.at("cache").as_string(), "hit");
   EXPECT_EQ(second.at("source").as_string(), "table");
   // Same model, same sweep: the miss-path inference and the hit-path table
-  // lookup agree on the algorithm.
-  EXPECT_EQ(second.at("algorithm").as_string(),
-            first.at("algorithm").as_string());
+  // lookup agree on the selection.
+  EXPECT_EQ(second.at("selection").at("encoded").as_string(),
+            first.at("selection").at("encoded").as_string());
 
   const Json stats = reply_of(engine, R"({"op":"stats"})");
   EXPECT_EQ(stats.at("cache_hits").as_int(), 1);
@@ -184,24 +181,26 @@ TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
   EXPECT_EQ(stats.at("tables_cached").as_int(), 1);
 }
 
-TEST_F(ServeTest, MicroBatchKnobDoesNotChangeAnswers) {
-  // micro_batch=1 bypasses the coalescer entirely; the default routes
-  // every uncached model answer through select_batch (a batch of one when
-  // traffic is serial). The batched kernel is bit-identical to scalar
-  // inference, so the two engines must produce identical replies,
-  // request for request.
-  ServeOptions scalar_options = options();
-  scalar_options.micro_batch = 1;
-  ServeEngine batched(options());
-  ServeEngine scalar(scalar_options);
-  for (const char* collective : {"allgather", "alltoall"}) {
+TEST_F(ServeTest, ModelRungMatchesDirectSelect) {
+  // An uncached select answered from the model rung is exactly what
+  // PmlFramework::select returns for the same query. A fresh engine per
+  // request keeps every reply on the model rung (the first request's
+  // compile would otherwise turn later ones into hits).
+  for (const coll::Collective collective :
+       {coll::Collective::kAllgather, coll::Collective::kAlltoall}) {
     for (const std::uint64_t msg : {1024u, 65536u}) {
-      const std::string request =
-          std::string(R"({"op":"select","cluster":"MRI","collective":")") +
-          collective + R"(","nodes":4,"ppn":16,"msg_bytes":)" +
-          std::to_string(msg) + "}";
-      EXPECT_EQ(batched.handle_line(request), scalar.handle_line(request))
-          << request;
+      ServeEngine engine(options());
+      const Json reply = reply_of(
+          engine, std::string(R"({"op":"select","cluster":"MRI","collective":")") +
+                      coll::to_string(collective) +
+                      R"(","nodes":4,"ppn":16,"msg_bytes":)" +
+                      std::to_string(msg) + "}");
+      ASSERT_EQ(reply.at("source").as_string(), "model");
+      EXPECT_EQ(reply.at("selection").at("encoded").as_string(),
+                trained()
+                    .select(collective, sim::cluster_by_name("MRI"),
+                            sim::Topology{4, 16}, msg)
+                    .encode());
     }
   }
 }
@@ -250,10 +249,10 @@ TEST_F(ServeTest, NoModelServesHeuristicsMarkedDegraded) {
   ASSERT_TRUE(select.at("ok").as_bool());
   EXPECT_TRUE(select.at("degraded").as_bool());
   EXPECT_EQ(select.at("source").as_string(), "heuristic");
-  // Short names can be ambiguous across collectives ("bruck"): qualify
-  // with the request's collective to round-trip the reply.
-  EXPECT_NO_THROW(coll::algorithm_from_string(
-      "allgather:" + select.at("algorithm").as_string()));
+  // The encoding decodes in the request's collective context.
+  EXPECT_NO_THROW(coll::Selection::decode(
+      coll::Collective::kAllgather,
+      select.at("selection").at("encoded").as_string()));
 
   const Json table = reply_of(engine, R"({"op":"table","cluster":"MRI"})");
   ASSERT_TRUE(table.at("ok").as_bool());
@@ -306,9 +305,10 @@ TEST_F(ServeTest, HealthReportsBreakerQueueRungsAndVersion) {
   // against `pml doctor` verdicts.
   EXPECT_EQ(health.at("artifacts").at("model").at("writes").as_string(),
             "pml-mpi-model-v1");
-  EXPECT_EQ(
-      health.at("artifacts").at("tuning-table").at("reads").as_array().size(),
-      2u);
+  const auto& table_reads =
+      health.at("artifacts").at("tuning-table").at("reads").as_array();
+  ASSERT_EQ(table_reads.size(), 1u);
+  EXPECT_EQ(table_reads[0].as_string(), "pml-mpi-tuning-table-v2");
 
   // ping and stats carry the release string too.
   EXPECT_EQ(reply_of(engine, R"({"op":"ping"})").at("version").as_string(),

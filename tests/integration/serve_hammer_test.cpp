@@ -190,13 +190,13 @@ TEST_F(ServeHammerTest, ModelCorruptionMidServeDegradesWithoutDroppedRequests) {
   EXPECT_EQ(recovered.at("source").as_string(), "table");
 }
 
-// Micro-batch witness: many threads issue uncached selects against ONE
-// cluster, so the leader/follower coalescer actually groups them into
-// shared FlatForest sweeps (unique-fingerprint hammers above mostly batch
-// alone). Every query sticks to the engine's sweep grid, where the
+// Concurrent model-rung witness: many threads issue selects against ONE
+// cluster while its table compiles, so early replies run model inference
+// on one shared framework from many threads at once and later ones hit
+// the table. Every query sticks to the engine's sweep grid, where the
 // model-inference rung and the compiled-table rung provably agree — so
-// every reply, whichever rung and whatever batch it rode, must equal
-// direct single-query inference on the same trained model.
+// every reply, whichever rung answered it, must equal direct
+// single-query inference on the same trained model.
 TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
   ServeEngine engine(options());
   constexpr int kThreads = 8;
@@ -235,10 +235,8 @@ TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
         const coll::Selection expected = trained().select(
             q.collective, sim::cluster_by_name("Frontera"),
             sim::Topology{q.nodes, q.ppn}, q.msg_bytes);
-        if (reply.at("algorithm").as_string() !=
-                coll::to_string(expected.algorithm) ||
-            reply.at("selection").at("encoded").as_string() !=
-                expected.encode()) {
+        if (reply.at("selection").at("encoded").as_string() !=
+            expected.encode()) {
           mismatches.fetch_add(1);
         }
       }

@@ -56,9 +56,9 @@
 //       files are never touched.
 //
 //   pml serve   [--model model.json] [--port N | --stdio] [--shards N]
-//               [--capacity N] [--threads N] [--micro-batch N]
-//               [--max-connections N] [--max-line-bytes N]
-//               [--read-timeout-ms N] [--queue-limit N]
+//               [--capacity N] [--threads N] [--max-connections N]
+//               [--max-line-bytes N] [--read-timeout-ms N]
+//               [--queue-limit N]
 //       Selector-as-a-service: answer newline-delimited JSON requests
 //       (ops: select, table, ping, stats, health — see docs/API.md,
 //       "Serve protocol") over TCP on 127.0.0.1:N (0 = ephemeral,
@@ -582,8 +582,6 @@ int cmd_serve(int argc, char** argv) {
           static_cast<std::size_t>(parse_int(value(), "--capacity"));
     } else if (arg == "--threads") {
       options.compile.threads = parse_int(value(), "--threads");
-    } else if (arg == "--micro-batch") {
-      options.micro_batch = parse_int(value(), "--micro-batch");
     } else if (arg == "--max-connections") {
       options.max_connections = parse_int(value(), "--max-connections");
     } else if (arg == "--max-line-bytes") {
