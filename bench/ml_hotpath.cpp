@@ -8,21 +8,25 @@
 //                          --benchmark_out=BENCH_ml_hotpath.json
 //
 // The headline series tracked across PRs: BM_SingleInference,
-// BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1, plus the
-// ML-layer BM_* kernels below. This is the one bench for every series of
-// the online-inference path: the paper's "less than a second of model
-// inference overhead during the compilation time" (BM_CompileTuningTable)
-// and constant-time selection at application runtime
-// (BM_RuntimeTableLookup).
+// BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1,
+// BM_ModelLoad and BM_ModelSave, plus the ML-layer BM_* kernels below.
+// This is the one bench for every series of the online-inference path:
+// the paper's "less than a second of model inference overhead during the
+// compilation time" (BM_ModelLoad + BM_CompileTuningTable) and
+// constant-time selection at application runtime (BM_RuntimeTableLookup).
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <new>
 
 #include "bench_util.hpp"
+#include "common/artifact.hpp"
 #include "core/features.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
@@ -336,6 +340,43 @@ BENCHMARK(BM_TrainFramework)
     ->ArgName("threads")
     ->Unit(benchmark::kSecond);
 
+// ---- model artifact IO --------------------------------------------------------
+// The online stage's fixed cost before any inference: artifact bytes to a
+// usable PmlFramework (parse, envelope checksum, packed forest decode and
+// validation), and the offline stage's save of the same bundle.
+
+std::string model_artifact_path() {
+  return (std::filesystem::temp_directory_path() /
+          ("pml_ml_hotpath_model_" + std::to_string(::getpid()) + ".json"))
+      .string();
+}
+
+void BM_ModelLoad(benchmark::State& state) {
+  static const std::string bytes = [] {
+    const std::string path = model_artifact_path();
+    write_artifact(path, framework().to_json(), "model");
+    std::string text = read_file(path);
+    std::filesystem::remove(path);
+    return text;
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::PmlFramework::load(
+        artifact_payload(Json::parse(bytes), "model", 1, false)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+  state.counters["artifact_mb"] = static_cast<double>(bytes.size()) / 1e6;
+}
+BENCHMARK(BM_ModelLoad)->Unit(benchmark::kMillisecond);
+
+void BM_ModelSave(benchmark::State& state) {
+  const auto& fw = framework();
+  const std::string path = model_artifact_path();
+  for (auto _ : state) write_artifact(path, fw.to_json(), "model");
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ModelSave)->Unit(benchmark::kMillisecond);
+
 void BM_ForestPredictProba(benchmark::State& state) {
   // The trained model's forest alone (flattened SoA walk), separating model
   // time from the feature-extraction + ranking work BM_SingleInference
@@ -375,6 +416,9 @@ BENCHMARK(BM_RuntimeTableLookup);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
+  // The host record beside google-benchmark's own context (CPU count,
+  // caches): how this binary itself was built.
+  benchmark::AddCustomContext("pml_build_type", PML_BUILD_TYPE);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -41,25 +42,39 @@ std::int64_t Json::as_int() const {
 
 namespace {
 
+/// The bytes dump_string must escape: '"', '\\' and control characters.
+constexpr auto kNeedsEscape = [] {
+  std::array<bool, 256> t{};
+  for (std::size_t c = 0; c < 0x20; ++c) t[c] = true;
+  t['"'] = true;
+  t['\\'] = true;
+  return t;
+}();
+
 void dump_string(const std::string& s, std::string& out) {
   out += '"';
-  for (const char c : s) {
+  // Plain bytes go out in runs (one append per run, not per byte): the
+  // packed model artifact carries multi-MB base64 strings.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (!kNeedsEscape[static_cast<unsigned char>(c)]) continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
 }
 
@@ -258,50 +273,53 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\') {
+        ++stop;
+      }
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
       if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid hex digit in \\u escape");
-            }
-            // Encode BMP code point as UTF-8 (surrogate pairs not needed for
-            // the artefacts this library writes).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xc0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            } else {
-              out += static_cast<char>(0xe0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            }
-            break;
+      if (text_[pos_++] == '"') break;
+      // A backslash: decode one escape.
+      if (pos_ >= text_.size()) fail("unterminated escape");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else fail("invalid hex digit in \\u escape");
           }
-          default: fail("invalid escape character");
+          // Encode BMP code point as UTF-8 (surrogate pairs not needed for
+          // the artefacts this library writes).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xc0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          } else {
+            out += static_cast<char>(0xe0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default: fail("invalid escape character");
       }
     }
     return out;

@@ -3,13 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -80,9 +80,19 @@ std::string read_file(const std::string& path) {
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open file for reading: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  // Reserve the file's size (only a hint: pipes and procfs report none),
+  // then read large chunks to EOF, so a multi-MB artifact costs no
+  // buffer-growth copies.
+  std::string out;
+  std::error_code size_error;
+  const auto size = std::filesystem::file_size(path, size_error);
+  if (!size_error) out.reserve(size);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    out.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw IoError("read failed: " + path);
+  return out;
 }
 
 void write_file(const std::string& path, std::string_view contents) {
@@ -127,6 +137,77 @@ void write_file_atomic(const std::string& path, std::string_view contents) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw fail("rename to " + path + " failed");
   }
+}
+
+namespace {
+
+constexpr char kBase64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+}  // namespace
+
+std::string base64_encode(std::string_view bytes) {
+  std::string out;
+  out.reserve((bytes.size() + 2) / 3 * 4);
+  std::size_t i = 0;
+  const auto byte = [&](std::size_t k) {
+    return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[k]));
+  };
+  for (; i + 3 <= bytes.size(); i += 3) {
+    const std::uint32_t v = byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2);
+    out += kBase64Alphabet[v >> 18];
+    out += kBase64Alphabet[(v >> 12) & 63];
+    out += kBase64Alphabet[(v >> 6) & 63];
+    out += kBase64Alphabet[v & 63];
+  }
+  const std::size_t tail = bytes.size() - i;
+  if (tail > 0) {
+    const std::uint32_t v =
+        byte(i) << 16 | (tail == 2 ? byte(i + 1) << 8 : 0);
+    out += kBase64Alphabet[v >> 18];
+    out += kBase64Alphabet[(v >> 12) & 63];
+    out += tail == 2 ? kBase64Alphabet[(v >> 6) & 63] : '=';
+    out += '=';
+  }
+  return out;
+}
+
+bool base64_decode(std::string_view text, std::string& out) {
+  static const auto table = [] {
+    std::array<std::int8_t, 256> t{};
+    t.fill(-1);
+    for (int k = 0; k < 64; ++k) {
+      t[static_cast<unsigned char>(kBase64Alphabet[k])] =
+          static_cast<std::int8_t>(k);
+    }
+    return t;
+  }();
+  if (text.size() % 4 != 0) return false;
+  const std::size_t n = text.size();
+  const std::size_t pad =
+      n == 0 || text[n - 1] != '=' ? 0 : text[n - 2] == '=' ? 2 : 1;
+  out.resize(n / 4 * 3);
+  char* dst = out.data();
+  for (std::size_t i = 0; i < n; i += 4) {
+    // Digits under the final quad's padding decode as zero.
+    const auto digit = [&](std::size_t k) -> std::int32_t {
+      return k >= n - pad ? 0 : table[static_cast<unsigned char>(text[k])];
+    };
+    const std::int32_t a = digit(i), b = digit(i + 1), c = digit(i + 2),
+                       d = digit(i + 3);
+    if ((a | b | c | d) < 0) return false;
+    const auto v = static_cast<std::uint32_t>(a << 18 | b << 12 | c << 6 | d);
+    *dst++ = static_cast<char>(v >> 16);
+    *dst++ = static_cast<char>((v >> 8) & 0xff);
+    *dst++ = static_cast<char>(v & 0xff);
+  }
+  // Canonical encodings leave the bits under the padding zero: the bytes
+  // the padding drops must decode as zero.
+  for (std::size_t k = 1; k <= pad; ++k) {
+    if (out[out.size() - k] != '\0') return false;
+  }
+  out.resize(out.size() - pad);
+  return true;
 }
 
 }  // namespace pml

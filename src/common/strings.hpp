@@ -23,6 +23,14 @@ std::string format_time(double seconds);
 /// Fixed-precision double, e.g. format_double(3.14159, 2) == "3.14".
 std::string format_double(double value, int precision);
 
+/// Standard base64 (RFC 4648 alphabet, '=' padding) of a byte string.
+std::string base64_encode(std::string_view bytes);
+
+/// Strict inverse of base64_encode: returns false (leaving `out`
+/// unspecified) on a length that is not a multiple of 4, a byte outside
+/// the alphabet, misplaced padding, or non-zero padding bits.
+bool base64_decode(std::string_view text, std::string& out);
+
 /// Read an entire file into a string; throws pml::Error on failure.
 std::string read_file(const std::string& path);
 

@@ -471,7 +471,7 @@ const std::vector<std::size_t>& PmlFramework::selected_columns(
 
 Json PmlFramework::to_json() const {
   Json j = Json::object();
-  j["format"] = "pml-mpi-model-v1";
+  j["format"] = "pml-mpi-model-v2";
   j["feature_names"] = [] {
     Json names = Json::array();
     for (const auto& n : feature_names()) names.push_back(n);
@@ -491,8 +491,11 @@ Json PmlFramework::to_json() const {
 }
 
 PmlFramework PmlFramework::load(const Json& j) {
-  if (!j.contains("format") ||
-      j.at("format").as_string() != "pml-mpi-model-v1") {
+  // v2 packs each forest (ml::RandomForest::to_json); v1 bundles, with
+  // per-node trees, still load for this one release.
+  const std::string format =
+      j.contains("format") ? j.at("format").as_string() : "";
+  if (format != "pml-mpi-model-v2" && format != "pml-mpi-model-v1") {
     throw TuningError("not a pml-mpi model bundle");
   }
   PmlFramework fw;

@@ -3,8 +3,8 @@
 // Offline stage (paper Fig. 3): benchmark the Table-I clusters, assemble
 // the feature/label dataset, optionally select the top-K features by Gini
 // importance, and train one Random Forest per collective. The trained
-// bundle serializes to JSON — the "pre-trained model shipped along with
-// the MPI library".
+// bundle serializes to JSON with each forest packed as base64 records —
+// the "pre-trained model shipped along with the MPI library".
 //
 // Online stage (paper Fig. 4): for a new cluster, if a tuning table is
 // already cached, use it; otherwise extract the cluster's features, run a
@@ -240,7 +240,10 @@ class PmlFramework final : public Selector {
 
   // --- Serialization ---------------------------------------------------------
 
+  /// The `pml-mpi-model-v2` bundle: per collective, its feature columns
+  /// and its packed forest (ml::RandomForest::to_json).
   Json to_json() const;
+  /// Reads `pml-mpi-model-v2`, and `pml-mpi-model-v1` until 0.13.0.
   static PmlFramework load(const Json& j);
 
   /// Load a model bundle from disk. Accepts both a pml-artifact-v1

@@ -192,50 +192,57 @@ std::size_t ServeCache::size() const {
 // --- ModelHost --------------------------------------------------------------
 
 ModelHost::ModelHost(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) return;
+  revalidate();
+}
+
+ModelHost::Snapshot ModelHost::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  load_locked();
+  return state_;
 }
 
 std::shared_ptr<PmlFramework> ModelHost::framework() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return framework_;
+  return state_.framework;
 }
 
 std::string ModelHost::checksum() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return checksum_;
+  return state_.checksum;
+}
+
+void ModelHost::publish(Snapshot next) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::swap(state_, next);
+  // `next` now holds the replaced model; it is freed after the unlock.
 }
 
 bool ModelHost::revalidate() {
   if (path_.empty()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return load_locked();
-}
-
-bool ModelHost::load_locked() {
+  // Only revalidate() writes state_, so under this lock `current` stays
+  // the published state until we publish.
+  std::lock_guard<std::mutex> serial(revalidate_mutex_);
+  const Snapshot current = snapshot();
   std::string bytes;
   try {
     bytes = read_file(path_);
   } catch (const Error& err) {
-    if (framework_ != nullptr) {
+    if (current.framework != nullptr) {
       static obs::Counter unusable("serve.model.unusable");
       unusable.increment();
       warn("serve: model artifact became unreadable (" +
            std::string(err.what()) + "); degrading to heuristic serving");
     }
-    framework_.reset();
-    checksum_.clear();
+    publish({});
     return false;
   }
-  const std::string sum = "fnv1a64:" + hex16(fnv1a64(bytes));
-  if (sum == checksum_ && framework_ != nullptr) return true;  // unchanged
+  std::string sum = "fnv1a64:" + hex16(fnv1a64(bytes));
+  if (sum == current.checksum && current.framework != nullptr) {
+    return true;  // unchanged
+  }
   try {
-    const Json doc = Json::parse(bytes);
-    auto loaded = std::make_shared<PmlFramework>(
-        PmlFramework::load(artifact_payload(doc, "model")));
-    framework_ = std::move(loaded);
-    checksum_ = sum;
+    auto loaded = std::make_shared<PmlFramework>(PmlFramework::load(
+        artifact_payload(Json::parse(bytes), "model")));
+    publish({std::move(loaded), std::move(sum)});
     static obs::Counter reloaded("serve.model.loaded");
     reloaded.increment();
     return true;
@@ -249,8 +256,7 @@ bool ModelHost::load_locked() {
     unusable.increment();
     warn("serve: model artifact failed to load (" + std::string(err.what()) +
          "); degrading to heuristic serving");
-    framework_.reset();
-    checksum_.clear();
+    publish({});
     return false;
   }
 }
@@ -450,14 +456,16 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
     // Re-read the artifact first: this is both how a redeployed model is
     // picked up and how a corrupted one drops the ladder to heuristics.
     model_.revalidate();
-    if (const std::shared_ptr<PmlFramework> framework = model_.framework()) {
+    const ModelHost::Snapshot model = model_.snapshot();
+    if (model.framework != nullptr) {
       auto entry = std::make_shared<ServedTable>();
-      entry->table = framework->compile_for(cluster, resolved);
+      entry->table = model.framework->compile_for(cluster, resolved);
       entry->json = entry->table.to_json().dump();
-      // Key under the model's *current* identity: if the artifact was
-      // swapped while this job sat in the queue, cache under the new
-      // checksum so the next request (which recomputes the key) hits.
-      cache_.put(cache_key(model_.checksum(), cluster, resolved), entry);
+      // Key under the identity of the model that compiled it: if the
+      // artifact was swapped while this job sat in the queue, cache under
+      // the new checksum so the next request (which recomputes the key)
+      // hits.
+      cache_.put(cache_key(model.checksum, cluster, resolved), entry);
       note(Event::kCompile);
       result = std::move(entry);
     }

@@ -173,6 +173,12 @@ class ServeCache {
 /// the engine to heuristic-only serving (the file on disk is the source
 /// of truth — the in-memory copy is not kept once it can no longer be
 /// vouched for).
+///
+/// Locking: revalidations run one at a time under their own mutex and do
+/// the file read, hash and load outside the state mutex, which guards
+/// only the (framework, checksum) pair and is held just long enough to
+/// copy or swap it. Readers therefore never wait on file IO, and an
+/// older read can never publish over a newer one.
 class ModelHost {
  public:
   /// Lenient: a missing/corrupt artifact logs a warning and starts
@@ -180,6 +186,14 @@ class ModelHost {
   explicit ModelHost(std::string path);
 
   bool has_path() const noexcept { return !path_.empty(); }
+
+  /// The loaded model and the checksum of the bytes it came from, read
+  /// together. framework is nullptr and checksum "" while degraded.
+  struct Snapshot {
+    std::shared_ptr<PmlFramework> framework;
+    std::string checksum;  ///< "fnv1a64:<16 hex>" over the file bytes
+  };
+  Snapshot snapshot() const;
 
   /// Current model, or nullptr while degraded. The framework is safe
   /// for concurrent select()/compile_for() (see framework.hpp).
@@ -193,12 +207,12 @@ class ModelHost {
   bool revalidate();
 
  private:
-  bool load_locked();
+  void publish(Snapshot next);
 
-  mutable std::mutex mutex_;
   std::string path_;
-  std::shared_ptr<PmlFramework> framework_;
-  std::string checksum_;
+  std::mutex revalidate_mutex_;  ///< serializes revalidate()
+  mutable std::mutex mutex_;     ///< guards state_ only
+  Snapshot state_;
 };
 
 /// The transport-independent request handler. Thread-safe: handle_line

@@ -1,20 +1,28 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "obs/obs.hpp"
 
 namespace pml::ml {
 
+static_assert(std::endian::native == std::endian::little,
+              "node_bytes()/load_packed() copy records in host order, which "
+              "the packed artifact defines as little-endian");
+
 void FlatForest::clear() {
   nodes_.clear();
   roots_.clear();
   leaf_proba_.clear();
   build_left_.clear();
-  n_leaves_ = 0;
+  build_pool_.clear();
+  build_width_ = 0;
   build_base_ = 0;
   min_row_length_ = 0;
   num_classes_ = 0;
@@ -40,59 +48,141 @@ void FlatForest::add_split(int feature, double threshold, int left,
 
 void FlatForest::add_leaf(std::span<const double> proba) {
   if (roots_.empty()) throw MlError("flat forest: add_leaf before begin_tree");
+  if (build_pool_.empty()) build_width_ = proba.size();
+  if (proba.size() != build_width_) {
+    throw MlError("flat forest: leaf node " + std::to_string(nodes_.size()) +
+                  " has " + std::to_string(proba.size()) +
+                  " probabilities, earlier leaves have " +
+                  std::to_string(build_width_));
+  }
+  const auto [it, inserted] = build_pool_.try_emplace(
+      std::string(reinterpret_cast<const char*>(proba.data()),
+                  proba.size_bytes()),
+      static_cast<std::int32_t>(build_pool_.size()));
+  if (inserted) leaf_proba_.insert(leaf_proba_.end(), proba.begin(), proba.end());
   Node node;
   node.feature = -1;
-  node.slot = static_cast<std::int32_t>(n_leaves_);
+  node.slot = it->second;
   nodes_.push_back(node);
   build_left_.push_back(-1);
-  ++n_leaves_;
-  leaf_proba_.insert(leaf_proba_.end(), proba.begin(), proba.end());
 }
 
 void FlatForest::finish(int num_classes) {
+  if (sealed_) throw MlError("flat forest: finish after finish");
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    // Trees serialize in pre-order: a split's left subtree follows it
+    // immediately, so left == i + 1 (which the packed record relies on).
+    const std::int32_t l = build_left_[i];
+    if (nodes_[i].feature >= 0 && l != static_cast<std::int32_t>(i + 1)) {
+      throw MlError("flat forest: split node " + std::to_string(i) +
+                    " has left child " + std::to_string(l) +
+                    ", pre-order requires " + std::to_string(i + 1));
+    }
+  }
+  seal(num_classes);
+  build_left_.clear();
+  build_left_.shrink_to_fit();
+  build_pool_.clear();
+}
+
+std::vector<std::int64_t> FlatForest::tree_sizes() const {
+  std::vector<std::int64_t> sizes;
+  sizes.reserve(roots_.size());
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    sizes.push_back(static_cast<std::int64_t>(tree_end(t) - roots_[t]));
+  }
+  return sizes;
+}
+
+std::string_view FlatForest::node_bytes() const noexcept {
+  return {reinterpret_cast<const char*>(nodes_.data()),
+          nodes_.size() * sizeof(Node)};
+}
+
+void FlatForest::load_packed(std::span<const std::int64_t> tree_sizes,
+                             std::string_view node_bytes,
+                             std::string_view leaf_bytes, int num_classes) {
+  clear();
+  if (node_bytes.size() % sizeof(Node) != 0) {
+    throw MlError("flat forest: node block holds " +
+                  std::to_string(node_bytes.size()) +
+                  " bytes, not a multiple of the 16-byte record");
+  }
+  if (leaf_bytes.size() % sizeof(double) != 0) {
+    throw MlError("flat forest: leaf block holds " +
+                  std::to_string(leaf_bytes.size()) +
+                  " bytes, not a whole number of doubles");
+  }
+  const std::size_t n_nodes = node_bytes.size() / sizeof(Node);
+  if (n_nodes > static_cast<std::size_t>(INT32_MAX)) {
+    throw MlError("flat forest: too many nodes for 32-bit slots");
+  }
+  std::size_t total = 0;
+  for (const std::int64_t size : tree_sizes) {
+    if (size < 1 || static_cast<std::uint64_t>(size) > n_nodes - total) {
+      throw MlError("flat forest: tree sizes must be >= 1 and sum to the " +
+                    std::to_string(n_nodes) + " stored nodes");
+    }
+    roots_.push_back(total);
+    total += static_cast<std::size_t>(size);
+  }
+  if (total != n_nodes) {
+    throw MlError("flat forest: tree sizes sum to " + std::to_string(total) +
+                  " nodes, " + std::to_string(n_nodes) + " are stored");
+  }
+  nodes_.resize(n_nodes);
+  std::memcpy(nodes_.data(), node_bytes.data(), node_bytes.size());
+  leaf_proba_.resize(leaf_bytes.size() / sizeof(double));
+  std::memcpy(leaf_proba_.data(), leaf_bytes.data(), leaf_bytes.size());
+  seal(num_classes);
+}
+
+void FlatForest::seal(int num_classes) {
   if (num_classes < 1) throw MlError("flat forest: num_classes must be >= 1");
   if (roots_.empty()) throw MlError("flat forest: no trees appended");
-  num_classes_ = num_classes;
   const auto k = static_cast<std::size_t>(num_classes);
-  if (leaf_proba_.size() != n_leaves_ * k) {
-    throw MlError("flat forest: pooled leaf buffer holds " +
-                  std::to_string(leaf_proba_.size()) + " values for " +
-                  std::to_string(n_leaves_) + " leaves of " +
-                  std::to_string(num_classes) + " classes");
+  // Builder leaves (load_packed leaves the pool index empty) must all be
+  // num_classes wide; the pool length alone cannot tell.
+  if (!build_pool_.empty() && build_width_ != k) {
+    throw MlError("flat forest: leaves carry " + std::to_string(build_width_) +
+                  " probabilities, want " + std::to_string(num_classes));
   }
-  const auto n_leaves = static_cast<std::int32_t>(n_leaves_);
-  const auto n_nodes = static_cast<std::int32_t>(nodes_.size());
+  if (leaf_proba_.size() % k != 0) {
+    throw MlError("flat forest: pooled leaf buffer holds " +
+                  std::to_string(leaf_proba_.size()) +
+                  " values, not a multiple of " + std::to_string(num_classes) +
+                  " classes");
+  }
+  num_classes_ = num_classes;
+  const auto n_leaves = static_cast<std::int32_t>(leaf_proba_.size() / k);
   min_row_length_ = 0;
-  for (std::int32_t i = 0; i < n_nodes; ++i) {
-    const Node& node = nodes_[static_cast<std::size_t>(i)];
-    if (node.feature >= 0) {
-      const auto f = static_cast<std::size_t>(node.feature);
-      min_row_length_ = std::max(min_row_length_, f + 1);
-      // Trees serialize in pre-order: a split's left subtree follows it
-      // immediately, so left == i + 1 (which the packed record relies on)
-      // and the right child points strictly forward; that also proves
-      // every walk terminates.
-      const std::int32_t l = build_left_[static_cast<std::size_t>(i)];
-      if (l != i + 1) {
-        throw MlError("flat forest: split node " + std::to_string(i) +
-                      " has left child " + std::to_string(l) +
-                      ", pre-order requires " + std::to_string(i + 1));
-      }
-      if (node.slot <= i || node.slot >= n_nodes) {
-        throw MlError("flat forest: split node " + std::to_string(i) +
-                      " has child outside (" + std::to_string(i) + ", " +
-                      std::to_string(n_nodes) + ")");
-      }
-    } else {
-      if (node.slot < 0 || node.slot >= n_leaves) {
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    const auto begin = static_cast<std::int32_t>(roots_[t]);
+    const auto end = static_cast<std::int32_t>(tree_end(t));
+    if (end <= begin) {
+      throw MlError("flat forest: tree " + std::to_string(t) + " has no nodes");
+    }
+    for (std::int32_t i = begin; i < end; ++i) {
+      const Node& node = nodes_[static_cast<std::size_t>(i)];
+      if (node.feature >= 0) {
+        min_row_length_ =
+            std::max(min_row_length_, static_cast<std::size_t>(node.feature) + 1);
+        // The left child is i + 1; the right child points strictly
+        // forward inside the same tree. That keeps every walk inside its
+        // tree and proves it terminates.
+        if (node.slot <= i || node.slot >= end) {
+          throw MlError("flat forest: split node " + std::to_string(i) +
+                        " has right child " + std::to_string(node.slot) +
+                        " outside its tree's (" + std::to_string(i) + ", " +
+                        std::to_string(end) + ")");
+        }
+      } else if (node.slot < 0 || node.slot >= n_leaves) {
         throw MlError("flat forest: leaf node " + std::to_string(i) +
                       " references pooled slot " + std::to_string(node.slot) +
                       " of " + std::to_string(n_leaves));
       }
     }
   }
-  build_left_.clear();
-  build_left_.shrink_to_fit();
   sealed_ = true;
 }
 

@@ -20,6 +20,13 @@
 // finish() validates the pre-order invariant, so a malformed builder
 // sequence or corrupt bundle fails loudly instead of walking garbage.
 //
+// Leaf pool. add_leaf() pools distributions bitwise: equal leaves share
+// one slot (a trained paper model has ~162k leaves but ~4.7k distinct
+// distributions), so the pool held in memory is exactly the one the
+// packed model artifact stores. node_bytes()/leaf_pool()/tree_sizes()
+// expose that sealed state and load_packed() restores it with one copy
+// plus the same validation finish() runs.
+//
 // Inference comes in two shapes that are bit-identical to each other and to
 // the per-tree node walk: predict_proba_into() walks one row through all
 // trees (tree 0..T in sequence, one divide at the end), and predict_batch()
@@ -37,6 +44,9 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -62,13 +72,38 @@ class FlatForest {
   /// order, so child ids passed to add_split are tree-local.
   void begin_tree();
   void add_split(int feature, double threshold, int left, int right);
+  /// Append a leaf. Bitwise-equal distributions share one pooled slot;
+  /// every leaf must carry as many probabilities as the first one.
   void add_leaf(std::span<const double> proba);
 
   /// Validate and seal after all trees are appended: every leaf must carry
   /// `num_classes` probabilities, every split must reference a feature and
-  /// children inside bounds, and nodes must be in pre-order (each split's
-  /// left child immediately follows it). Throws MlError otherwise.
+  /// a right child inside its own tree, and nodes must be in pre-order
+  /// (each split's left child immediately follows it). Throws MlError
+  /// otherwise.
   void finish(int num_classes);
+
+  // --- Packed form (the model artifact's forest payload) --------------------
+
+  /// Node count of each tree, in tree order.
+  std::vector<std::int64_t> tree_sizes() const;
+
+  /// The node records as stored: little-endian
+  /// `{f64 threshold, i32 feature, i32 slot}`, 16 bytes per node, slots
+  /// forest-global.
+  std::string_view node_bytes() const noexcept;
+
+  /// The pooled leaf distributions, num_classes() values per slot.
+  std::span<const double> leaf_pool() const noexcept { return leaf_proba_; }
+
+  /// Replace this forest with a sealed one rebuilt from tree_sizes(),
+  /// node_bytes() and the leaf_pool() bytes. Runs finish()'s validation
+  /// (record and pool lengths, tree sizes summing to the node count,
+  /// every split's right child strictly forward inside its own tree,
+  /// every leaf slot inside the pool); throws MlError on any violation.
+  void load_packed(std::span<const std::int64_t> tree_sizes,
+                   std::string_view node_bytes, std::string_view leaf_bytes,
+                   int num_classes);
 
   // --- Inference -------------------------------------------------------------
 
@@ -104,13 +139,23 @@ class FlatForest {
   std::span<const double> walk(std::size_t root,
                                std::span<const double> row) const;
 
+  /// The validation finish() and load_packed() share; seals on success.
+  void seal(int num_classes);
+
+  /// One past the last node of tree `t`.
+  std::size_t tree_end(std::size_t t) const noexcept {
+    return t + 1 < roots_.size() ? roots_[t + 1] : nodes_.size();
+  }
+
   std::vector<Node> nodes_;           ///< all trees' packed records
   std::vector<std::size_t> roots_;    ///< global index of each tree's root
   std::vector<double> leaf_proba_;    ///< pooled leaf distributions
-  /// Build-time staging: left-child index per node (validated against the
-  /// pre-order invariant, then discarded by finish()).
+  /// Build-time staging, discarded by finish(): left-child index per node
+  /// (validated against the pre-order invariant) and the pool index
+  /// (distribution bytes -> slot).
   std::vector<std::int32_t> build_left_;
-  std::size_t n_leaves_ = 0;
+  std::unordered_map<std::string, std::int32_t> build_pool_;
+  std::size_t build_width_ = 0;       ///< probabilities per leaf so far
   std::size_t build_base_ = 0;        ///< first node of the tree being built
   std::size_t min_row_length_ = 0;
   int num_classes_ = 0;

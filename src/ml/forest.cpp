@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/parallel.hpp"
+#include "common/strings.hpp"
 #include "obs/obs.hpp"
 
 namespace pml::ml {
@@ -35,11 +38,11 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
   tree_rngs.reserve(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) tree_rngs.push_back(rng.split());
 
-  trees_.assign(n_trees, DecisionTree(tp));
+  std::vector<DecisionTree> trees(n_trees, DecisionTree(tp));
   // Per-tree OOB contributions (row index, span into the fitted tree's leaf
   // distribution — no copies), merged in tree order after the barrier so the
   // floating-point accumulation order matches the serial loop exactly. The
-  // spans stay valid because trees_ is not resized after this point.
+  // spans stay valid because `trees` is not resized after this point.
   std::vector<std::vector<std::pair<std::size_t, std::span<const double>>>>
       oob_parts(params_.bootstrap ? n_trees : 0);
 
@@ -53,13 +56,13 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
         sample[i] = static_cast<std::size_t>(tree_rng.uniform_index(n));
         in_bag[sample[i]] = 1;
       }
-      trees_[t].fit(train.x, train.y, num_classes_, tree_rng, sample);
+      trees[t].fit(train.x, train.y, num_classes_, tree_rng, sample);
       for (std::size_t i = 0; i < n; ++i) {
         if (in_bag[i]) continue;
-        oob_parts[t].emplace_back(i, trees_[t].leaf_proba_for(train.x.row(i)));
+        oob_parts[t].emplace_back(i, trees[t].leaf_proba_for(train.x.row(i)));
       }
     } else {
-      trees_[t].fit(train.x, train.y, num_classes_, tree_rng);
+      trees[t].fit(train.x, train.y, num_classes_, tree_rng);
     }
   });
 
@@ -88,13 +91,16 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
       oob_score_ = static_cast<double>(correct) / static_cast<double>(scored);
     }
   }
-  rebuild_flat();
+  flat_.clear();
+  tree_importances_.clear();
+  for (const DecisionTree& tree : trees) append_tree(tree);
+  flat_.finish(num_classes_);
 }
 
-void RandomForest::rebuild_flat() {
-  flat_.clear();
-  for (const DecisionTree& tree : trees_) tree.append_flat(flat_);
-  flat_.finish(num_classes_);
+void RandomForest::append_tree(const DecisionTree& tree) {
+  tree.append_flat(flat_);
+  const auto imp = tree.feature_importances();
+  tree_importances_.emplace_back(imp.begin(), imp.end());
 }
 
 std::vector<double> RandomForest::predict_proba(
@@ -119,8 +125,7 @@ void RandomForest::predict_batch(const Matrix& rows, Matrix& out) const {
 std::vector<double> RandomForest::feature_importances() const {
   require_fitted();
   std::vector<double> total(n_features_, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    const auto imp = tree.feature_importances();
+  for (const auto& imp : tree_importances_) {
     // Loaded pre-importances bundles may carry fewer entries than
     // n_features_ (trailing unused features): missing entries are zero.
     const std::size_t m = std::min(total.size(), imp.size());
@@ -147,11 +152,35 @@ Json RandomForest::to_json() const {
   params["max_features"] = params_.max_features;
   params["bootstrap"] = params_.bootstrap;
   j["params"] = std::move(params);
-  Json trees = Json::array();
-  for (const DecisionTree& t : trees_) trees.push_back(t.to_json());
-  j["trees"] = std::move(trees);
+  Json sizes = Json::array();
+  for (const std::int64_t n : flat_.tree_sizes()) sizes.push_back(n);
+  j["tree_sizes"] = std::move(sizes);
+  j["nodes"] = base64_encode(flat_.node_bytes());
+  const auto pool = flat_.leaf_pool();
+  j["leaves"] = base64_encode(
+      {reinterpret_cast<const char*>(pool.data()), pool.size_bytes()});
+  Json importances = Json::array();
+  for (const auto& imp : tree_importances_) {
+    Json row = Json::array();
+    for (const double v : imp) row.push_back(v);
+    importances.push_back(std::move(row));
+  }
+  j["importances"] = std::move(importances);
   return j;
 }
+
+namespace {
+
+/// Decode one base64 field of the packed payload.
+std::string packed_field(const Json& j, const std::string& key) {
+  std::string bytes;
+  if (!base64_decode(j.at(key).as_string(), bytes)) {
+    throw MlError("from_json: forest '" + key + "' is not valid base64");
+  }
+  return bytes;
+}
+
+}  // namespace
 
 RandomForest RandomForest::from_json(const Json& j) {
   if (j.at("model").as_string() != "random_forest") {
@@ -173,32 +202,49 @@ RandomForest RandomForest::from_json(const Json& j) {
   }
   forest.n_features_ =
       static_cast<std::size_t>(j.at("n_features").as_int());
-  for (const Json& tj : j.at("trees").as_array()) {
-    forest.trees_.push_back(DecisionTree::from_json(tj));
-    // A corrupt or hand-edited bundle must fail here with a clean MlError,
-    // not as an out-of-bounds read at inference time: every split must
-    // reference a feature the forest's rows actually have, and every leaf
-    // distribution must match the forest's class count (the tree-level
-    // loader already checks proba sizes against the tree's own num_classes).
-    const DecisionTree& tree = forest.trees_.back();
-    const std::size_t t = forest.trees_.size() - 1;
-    if (tree.num_classes() != forest.num_classes_) {
-      throw MlError("from_json: tree " + std::to_string(t) + " has " +
-                    std::to_string(tree.num_classes()) +
-                    " classes, forest has " +
-                    std::to_string(forest.num_classes_));
+  if (j.contains("trees")) {
+    // pml-mpi-model-v1 layout, read for one release: each tree decodes
+    // (with its own node-graph checks) and goes straight into the flat
+    // builder; nothing of it outlives the loop body.
+    for (const Json& tj : j.at("trees").as_array()) {
+      const DecisionTree tree = DecisionTree::from_json(tj);
+      if (tree.num_classes() != forest.num_classes_) {
+        throw MlError("from_json: tree " +
+                      std::to_string(forest.flat_.tree_count()) + " has " +
+                      std::to_string(tree.num_classes()) +
+                      " classes, forest has " +
+                      std::to_string(forest.num_classes_));
+      }
+      forest.append_tree(tree);
     }
-    const int max_feature = tree.max_feature_index();
-    if (max_feature >= 0 &&
-        static_cast<std::size_t>(max_feature) >= forest.n_features_) {
-      throw MlError("from_json: tree " + std::to_string(t) +
-                    " splits on feature " + std::to_string(max_feature) +
-                    " but the forest has " +
-                    std::to_string(forest.n_features_) + " features");
+    forest.flat_.finish(forest.num_classes_);
+  } else {
+    std::vector<std::int64_t> sizes;
+    for (const Json& n : j.at("tree_sizes").as_array()) {
+      sizes.push_back(n.as_int());
+    }
+    forest.flat_.load_packed(sizes, packed_field(j, "nodes"),
+                             packed_field(j, "leaves"), forest.num_classes_);
+    for (const Json& row : j.at("importances").as_array()) {
+      auto& imp = forest.tree_importances_.emplace_back();
+      for (const Json& v : row.as_array()) imp.push_back(v.as_number());
+    }
+    if (forest.tree_importances_.size() != forest.flat_.tree_count()) {
+      throw MlError("from_json: " +
+                    std::to_string(forest.tree_importances_.size()) +
+                    " importance rows for " +
+                    std::to_string(forest.flat_.tree_count()) + " trees");
     }
   }
-  if (forest.trees_.empty()) throw MlError("from_json: forest has no trees");
-  forest.rebuild_flat();
+  // A corrupt or hand-edited bundle must fail here with a clean MlError,
+  // not as an out-of-bounds read at inference time: every split must
+  // reference a feature the forest's rows actually have.
+  if (forest.flat_.min_row_length() > forest.n_features_) {
+    throw MlError("from_json: a split references feature " +
+                  std::to_string(forest.flat_.min_row_length() - 1) +
+                  " but the forest has " + std::to_string(forest.n_features_) +
+                  " features");
+  }
   return forest;
 }
 

@@ -2,7 +2,6 @@
 // ships pre-trained with the MPI library.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -45,8 +44,8 @@ class RandomForest final : public Classifier {
   /// predict_proba_into row by row.
   void predict_batch(const Matrix& rows, Matrix& out) const override;
 
-  /// The structure-of-arrays representation used for inference (rebuilt by
-  /// fit() and from_json()).
+  /// The packed forest: the one representation fit() builds, from_json()
+  /// restores and inference walks (fitted trees do not outlive fit()).
   const FlatForest& flat() const noexcept { return flat_; }
 
   /// Normalised Gini-decrease feature importances (sum to 1): per-feature
@@ -58,18 +57,27 @@ class RandomForest final : public Classifier {
   std::optional<double> oob_score() const noexcept { return oob_score_; }
 
   const RandomForestParams& params() const noexcept { return params_; }
-  std::size_t tree_count() const noexcept { return trees_.size(); }
+  std::size_t tree_count() const noexcept { return flat_.tree_count(); }
 
+  /// The packed forest payload of `pml-mpi-model-v2`: scalars and params,
+  /// `tree_sizes`, base64 `nodes` (FlatForest::node_bytes()), base64
+  /// `leaves` (the pooled distributions as f64) and per-tree
+  /// `importances`.
   Json to_json() const;
+  /// Reads that payload, and for one release the `pml-mpi-model-v1`
+  /// per-node tree layout (a `trees` array). Throws MlError on an
+  /// inconsistent forest, JsonError on a missing or mistyped key.
   static RandomForest from_json(const Json& j);
 
  private:
-  /// Rebuild flat_ from trees_ (after fit or deserialization).
-  void rebuild_flat();
+  /// Append one fitted or decoded tree to flat_ (unsealed) and keep its
+  /// importances.
+  void append_tree(const DecisionTree& tree);
 
   RandomForestParams params_;
-  std::vector<DecisionTree> trees_;
   FlatForest flat_;
+  /// Unnormalised Gini-decrease importances of each tree, in tree order.
+  std::vector<std::vector<double>> tree_importances_;
   std::size_t n_features_ = 0;
   std::optional<double> oob_score_;
 };

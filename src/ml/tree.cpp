@@ -362,12 +362,6 @@ int DecisionTree::predict(std::span<const double> row) const {
   return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
 }
 
-int DecisionTree::max_feature_index() const noexcept {
-  int max_feature = -1;
-  for (const Node& n : nodes_) max_feature = std::max(max_feature, n.feature);
-  return max_feature;
-}
-
 void DecisionTree::append_flat(FlatForest& flat) const {
   if (nodes_.empty()) throw MlError("tree: flatten before fit");
   flat.begin_tree();

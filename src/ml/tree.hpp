@@ -52,9 +52,6 @@ class DecisionTree {
 
   int num_classes() const noexcept { return num_classes_; }
 
-  /// Largest feature index any split references; -1 for a leaf-only tree.
-  int max_feature_index() const noexcept;
-
   /// Unnormalised Gini-decrease importances, one per feature; accumulated
   /// across splits as (n_node/n_total) * impurity decrease.
   std::span<const double> feature_importances() const noexcept {
@@ -65,6 +62,10 @@ class DecisionTree {
   int depth() const noexcept { return depth_; }
   bool fitted() const noexcept { return !nodes_.empty(); }
 
+  /// Per-node JSON: one tree of the pml-mpi-model-v1 forest layout.
+  /// Nothing writes that layout any more; to_json stays as the oracle of
+  /// the tree golden hash and split-finder tests, and from_json decodes
+  /// v1 bundles (read until 0.13.0).
   Json to_json() const;
   static DecisionTree from_json(const Json& j);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace pml {
@@ -72,6 +75,65 @@ TEST(Json, StringEscapes) {
   const std::string dumped = j.dump();
   EXPECT_EQ(dumped, "\"a\\\"b\\\\c\\nd\\te\"");
   EXPECT_EQ(Json::parse(dumped).as_string(), "a\"b\\c\nd\te");
+}
+
+/// The per-byte string dump the run-based fast path replaced: its output
+/// is the byte-exact contract.
+std::string per_byte_dump(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out + "\"";
+}
+
+void expect_string_round_trip(const std::string& s) {
+  const std::string dumped = Json(s).dump();
+  EXPECT_EQ(dumped, per_byte_dump(s));
+  EXPECT_EQ(Json::parse(dumped).as_string(), s);
+}
+
+TEST(Json, MultiMegabyteStringRoundTrips) {
+  std::string big(3 << 20, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 4099) {
+    big[i] = static_cast<char>('A' + i % 26);
+  }
+  expect_string_round_trip(big);
+  big[big.size() / 2] = '"';
+  big[big.size() / 2 + 1] = '\\';
+  expect_string_round_trip(big);
+}
+
+TEST(Json, EscapesAtRunBoundaries) {
+  for (const char esc : {'"', '\\', '\n', '\t', '\r'}) {
+    const std::string e(1, esc);
+    expect_string_round_trip(e);                    // the whole string
+    expect_string_round_trip(e + "plain run");      // first byte
+    expect_string_round_trip("plain run" + e);      // last byte
+    expect_string_round_trip("ab" + e + "cd");      // between two runs
+    expect_string_round_trip("ab" + e + e + "cd");  // adjacent escapes
+  }
+}
+
+TEST(Json, ControlCharactersDumpAsUnicodeEscapes) {
+  const std::string s = std::string("a\x01" "b") + '\0' + "\x1f";
+  EXPECT_EQ(Json(s).dump(), "\"a\\u0001b\\u0000\\u001f\"");
+  expect_string_round_trip(s);
+  expect_string_round_trip("\x7f\xc3\xa9 passes through");
 }
 
 TEST(Json, ParseScalars) {

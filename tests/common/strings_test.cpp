@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <thread>
 
 #include "common/error.hpp"
 
@@ -62,6 +66,34 @@ TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(-0.5, 3), "-0.500");
 }
 
+TEST(Strings, Base64KnownVectors) {
+  // RFC 4648 section 10.
+  const char* const vectors[][2] = {
+      {"", ""},         {"f", "Zg=="},         {"fo", "Zm8="},
+      {"foo", "Zm9v"},  {"foob", "Zm9vYg=="},  {"fooba", "Zm9vYmE="},
+      {"foobar", "Zm9vYmFy"},
+  };
+  for (const auto& [plain, encoded] : vectors) {
+    EXPECT_EQ(base64_encode(plain), encoded);
+    std::string out;
+    ASSERT_TRUE(base64_decode(encoded, out)) << encoded;
+    EXPECT_EQ(out, plain);
+  }
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  std::string out;
+  ASSERT_TRUE(base64_decode(base64_encode(all), out));
+  EXPECT_EQ(out, all);
+}
+
+TEST(Strings, Base64RejectsMalformedText) {
+  std::string out;
+  for (const char* bad : {"Zg=", "Zm9", "Zm9v=", "Z===", "====", "Zm=v",
+                          "Zm 9v", "Zh==", "Zm9=", "Zm*v"}) {
+    EXPECT_FALSE(base64_decode(bad, out)) << bad;
+  }
+}
+
 TEST(Strings, FileRoundTrip) {
   const auto path =
       (std::filesystem::temp_directory_path() / "pml_strings_test.txt")
@@ -69,6 +101,28 @@ TEST(Strings, FileRoundTrip) {
   write_file(path, "hello\nworld");
   EXPECT_EQ(read_file(path), "hello\nworld");
   std::filesystem::remove(path);
+}
+
+TEST(Strings, ReadFileReadsFilesWithoutAKnownSize) {
+  // procfs reports size 0 and cannot seek to its end; a pipe has no size
+  // at all. Both must still read to EOF.
+  EXPECT_NE(read_file("/proc/self/status").find("Name:"), std::string::npos);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string payload(200000, 'p');  // several chunks
+  std::thread writer([&] {
+    std::size_t done = 0;
+    while (done < payload.size()) {
+      const ssize_t n = ::write(fds[1], payload.data() + done, payload.size() - done);
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(fds[1]);
+  });
+  const std::string got = read_file("/proc/self/fd/" + std::to_string(fds[0]));
+  writer.join();
+  ::close(fds[0]);
+  EXPECT_EQ(got, payload);
 }
 
 TEST(Strings, ReadMissingFileThrows) {

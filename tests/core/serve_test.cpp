@@ -66,6 +66,61 @@ TEST(ServeCache, PutReplacesExistingEntry) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// Readers (every select) take the host mutex only to copy the model
+// pair, while revalidations read, hash and load outside it. Swapping
+// between two valid artifacts under a reader hammer must never expose a
+// checksum other than the two, nor a checksum paired with the other
+// file's framework. Run under PML_SANITIZE=thread as a race witness.
+TEST(ModelHost, RevalidateSwapsKeepChecksumAndFrameworkPaired) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pml_model_host_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "model.json").string();
+  write_artifact(path, trained().to_json(), "model");
+  const std::string a_bytes = read_file(path);
+  // The second artifact is the committed v1 fixture: 2 trees, not 8.
+  const std::string b_bytes =
+      read_file(std::string(PML_TEST_DATA_DIR) + "/model_v1.json");
+  const std::string a_sum = ModelHost(path).checksum();
+  write_file_atomic(path, b_bytes);
+  const std::string b_sum = ModelHost(path).checksum();
+  ASSERT_FALSE(a_sum.empty());
+  ASSERT_FALSE(b_sum.empty());
+  ASSERT_NE(a_sum, b_sum);
+  const auto trees = [](const PmlFramework& fw) {
+    return fw.model(coll::Collective::kAllgather).tree_count();
+  };
+
+  ModelHost host(path);
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      const ModelHost::Snapshot snap = host.snapshot();
+      const bool paired =
+          snap.framework != nullptr &&
+          ((snap.checksum == a_sum && trees(*snap.framework) == 8) ||
+           (snap.checksum == b_sum && trees(*snap.framework) == 2));
+      const std::string sum = host.checksum();
+      const bool known = sum == a_sum || sum == b_sum;
+      if (!paired || !known || host.framework() == nullptr) ++bad;
+      ++reads;
+    }
+  });
+  for (int i = 0; i < 20; ++i) {
+    write_file_atomic(path, i % 2 == 0 ? a_bytes : b_bytes);
+    EXPECT_TRUE(host.revalidate());
+    EXPECT_EQ(host.checksum(), i % 2 == 0 ? a_sum : b_sum);
+  }
+  stop = true;
+  reader.join();
+  fs::remove_all(dir);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+}
+
 TEST(ServeOptions, ValidateRejectsBadShapes) {
   ServeOptions options;
   options.shards = 0;
@@ -304,7 +359,7 @@ TEST_F(ServeTest, HealthReportsBreakerQueueRungsAndVersion) {
   // The artifact schema matrix rides along so ops can line the daemon up
   // against `pml doctor` verdicts.
   EXPECT_EQ(health.at("artifacts").at("model").at("writes").as_string(),
-            "pml-mpi-model-v1");
+            "pml-mpi-model-v2");
   const auto& table_reads =
       health.at("artifacts").at("tuning-table").at("reads").as_array();
   ASSERT_EQ(table_reads.size(), 1u);

@@ -5,13 +5,17 @@
 //    per-tree node walk, for every model family the factory can build,
 //  - fitted forests must stay bit-identical across thread counts and across
 //    releases (golden hashes captured before the optimisation landed),
-//  - corrupt serialized bundles must fail loudly at load time.
+//  - corrupt serialized bundles must fail loudly at load time, in the
+//    packed v2 layout and in the v1 layout still read for one release
+//    (tests/ml/model_format_test.cpp covers the v2 corruptions in full).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "ml/factory.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
@@ -113,6 +117,12 @@ TEST(Golden, TreeSerializationUnchangedSinceOptimisation) {
   EXPECT_EQ(fnv1a(tree.to_json().dump()), 7370512707017712398ULL);
 }
 
+/// This forest's v1 JSON, as the v1 writer dumped it before the packed
+/// v2 layout replaced it (tests/data/golden_forest_v1.json).
+std::string golden_forest_v1() {
+  return read_file(std::string(PML_TEST_DATA_DIR) + "/golden_forest_v1.json");
+}
+
 TEST(Golden, ForestSerializationAndOobUnchangedSinceOptimisation) {
   const Dataset d = synthetic(300, 8, 4, 42);
   RandomForestParams fp;
@@ -122,8 +132,13 @@ TEST(Golden, ForestSerializationAndOobUnchangedSinceOptimisation) {
   RandomForest forest(fp);
   Rng rng(99);
   forest.fit(d, rng);
-  // Captured from the pre-optimisation implementation (PR 1 state).
-  EXPECT_EQ(fnv1a(forest.to_json().dump()), 3616224656282728536ULL);
+  // The fixture's v1 bytes hash to the constant captured from the
+  // pre-optimisation implementation ...
+  const std::string v1 = golden_forest_v1();
+  EXPECT_EQ(fnv1a(v1), 3616224656282728536ULL);
+  // ... and a fresh fit still encodes to exactly its v2 re-encoding.
+  EXPECT_EQ(RandomForest::from_json(Json::parse(v1)).to_json().dump(),
+            forest.to_json().dump());
   ASSERT_TRUE(forest.oob_score().has_value());
   EXPECT_DOUBLE_EQ(*forest.oob_score(), 0.23);
 }
@@ -256,13 +271,62 @@ TEST(ForestThreads, OobAndSerializationIdenticalAt1_2_8Threads) {
 
 // ---- hardened deserialization ----------------------------------------------
 
-TEST(ForestFromJson, RejectsSplitFeatureBeyondForestWidth) {
+/// A fitted 2-tree forest in the packed v2 layout, with its node blob
+/// decoded.
+struct PackedForest {
+  Json json;
+  std::string nodes;
+};
+
+PackedForest packed_forest() {
   const Dataset d = synthetic(100, 4, 2, 3);
   RandomForest forest(RandomForestParams{.n_trees = 2});
   Rng rng(1);
   forest.fit(d, rng);
-  Json j = forest.to_json();
+  PackedForest p{forest.to_json(), {}};
+  EXPECT_TRUE(base64_decode(p.json.at("nodes").as_string(), p.nodes));
+  return p;
+}
 
+TEST(ForestFromJson, RejectsSplitFeatureBeyondForestWidth) {
+  PackedForest p = packed_forest();
+  // Point one split at a feature the forest does not have. A record is
+  // {f64 threshold, i32 feature, i32 slot}.
+  bool corrupted = false;
+  for (std::size_t at = 8; at < p.nodes.size() && !corrupted; at += 16) {
+    std::int32_t feature = 0;
+    std::memcpy(&feature, p.nodes.data() + at, sizeof feature);
+    if (feature < 0) continue;
+    feature = 99;
+    std::memcpy(p.nodes.data() + at, &feature, sizeof feature);
+    corrupted = true;
+  }
+  ASSERT_TRUE(corrupted) << "fitted forest unexpectedly has no splits";
+  p.json["nodes"] = base64_encode(p.nodes);
+  EXPECT_THROW(RandomForest::from_json(p.json), MlError);
+}
+
+TEST(ForestFromJson, RejectsTreeClassCountMismatch) {
+  PackedForest p = packed_forest();
+  // The pooled leaves carry 2 classes each; claim one more than the pool
+  // length so it cannot divide evenly.
+  std::string leaves;
+  ASSERT_TRUE(base64_decode(p.json.at("leaves").as_string(), leaves));
+  p.json["num_classes"] =
+      static_cast<std::int64_t>(leaves.size() / sizeof(double) + 1);
+  EXPECT_THROW(RandomForest::from_json(p.json), MlError);
+}
+
+TEST(ForestFromJson, RejectsNonPositiveClassCount) {
+  PackedForest p = packed_forest();
+  p.json["num_classes"] = 0;
+  EXPECT_THROW(RandomForest::from_json(p.json), MlError);
+}
+
+// The same three corruptions in the v1 layout, on the golden fixture.
+
+TEST(ForestFromJsonV1, RejectsSplitFeatureBeyondForestWidth) {
+  Json j = Json::parse(golden_forest_v1());
   // Widen the importances array so the tree-level loader stays happy, then
   // point one split at a feature the forest does not have.
   Json& tree0 = j["trees"].as_array()[0];
@@ -275,26 +339,18 @@ TEST(ForestFromJson, RejectsSplitFeatureBeyondForestWidth) {
       corrupted = true;
     }
   }
-  ASSERT_TRUE(corrupted) << "fitted tree unexpectedly has no splits";
+  ASSERT_TRUE(corrupted) << "fixture tree unexpectedly has no splits";
   EXPECT_THROW(RandomForest::from_json(j), MlError);
 }
 
-TEST(ForestFromJson, RejectsTreeClassCountMismatch) {
-  const Dataset d = synthetic(100, 4, 2, 3);
-  RandomForest forest(RandomForestParams{.n_trees = 2});
-  Rng rng(1);
-  forest.fit(d, rng);
-  Json j = forest.to_json();
-  j["num_classes"] = 5;  // trees still carry 2-class leaves
+TEST(ForestFromJsonV1, RejectsTreeClassCountMismatch) {
+  Json j = Json::parse(golden_forest_v1());
+  j["num_classes"] = 5;  // trees still carry 4-class leaves
   EXPECT_THROW(RandomForest::from_json(j), MlError);
 }
 
-TEST(ForestFromJson, RejectsNonPositiveClassCount) {
-  const Dataset d = synthetic(100, 4, 2, 3);
-  RandomForest forest(RandomForestParams{.n_trees = 2});
-  Rng rng(1);
-  forest.fit(d, rng);
-  Json j = forest.to_json();
+TEST(ForestFromJsonV1, RejectsNonPositiveClassCount) {
+  Json j = Json::parse(golden_forest_v1());
   j["num_classes"] = 0;
   EXPECT_THROW(RandomForest::from_json(j), MlError);
 }
